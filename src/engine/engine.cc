@@ -9,7 +9,6 @@ StatusOr<std::unique_ptr<Engine>> Engine::Compile(
   SessionOptions session_options;
   session_options.num_nodes = options.num_nodes;
   session_options.num_physical = options.runtime.num_physical;
-  session_options.batch_delivery = options.runtime.batch_delivery;
   // Deployment-shape knobs ride in RuntimeOptions for the one-program
   // facade; the session underneath owns the actual substrate, so they must
   // be forwarded or a sharded/faulty Engine silently runs a 1-shard,

@@ -51,7 +51,7 @@ struct RunMetrics {
   // contended first acquisitions of a unique-table stripe lock, op-cache
   // hit rate across all worker slots, and node-store segments allocated.
   // Transient diagnostics: sampled live from the manager, deliberately NOT
-  // serialized into checkpoint metrics (the v2 snapshot format is stable).
+  // serialized into checkpoint metrics (the snapshot format is stable).
   uint64_t bdd_stripe_contention = 0;
   double bdd_cache_hit_rate = 0;
   uint64_t bdd_store_segments = 0;

@@ -171,7 +171,7 @@ void ReachableRuntime::HandleFixInsert(LogicalNode at, NodeState& state,
   bool is_new = false;
   std::optional<Prov> delta = state.fix->ProcessInsert(tuple, guarded, &is_new);
   if (!delta.has_value()) return;
-  if (is_new) LogViewDelta(tuple, /*added=*/true);
+  if (is_new) LogViewDelta(at, tuple, /*added=*/true);
   // The fixpoint feeds into the recursive subplan: probe the local join's
   // reachable side. Absorption mode propagates the provenance delta;
   // relative mode propagates a *reference* to this tuple (derivation-edge
@@ -192,7 +192,7 @@ void ReachableRuntime::HandleFixInsert(LogicalNode at, NodeState& state,
 void ReachableRuntime::HandleFixDelete(LogicalNode at, NodeState& state,
                                        const Tuple& tuple) {
   if (!state.fix->ProcessDelete(tuple)) return;  // Already absent.
-  LogViewDelta(tuple, /*added=*/false);
+  LogViewDelta(at, tuple, /*added=*/false);
   // Over-deletion cascades through the local join probe side.
   std::vector<Update> outs =
       state.join->ProcessDelete(PipelinedHashJoin::kRight, tuple);
@@ -205,7 +205,7 @@ void ReachableRuntime::HandleKill(LogicalNode at, NodeState& state,
   if (fresh.empty()) return;
   Fixpoint::KillResult result = state.fix->ProcessKill(fresh);
   for (const Tuple& removed : result.removed) {
-    LogViewDelta(removed, /*added=*/false);
+    LogViewDelta(at, removed, /*added=*/false);
   }
   state.join->ProcessKill(fresh);
   // MinShip may promote buffered alternate derivations; the promotions are
@@ -302,7 +302,7 @@ bool ReachableRuntime::AfterQuiescent() {
     auto underivable = FindUnderivable(view);
     for (const auto& [owner, tuple] : underivable) {
       node(owner).fix->ProcessDelete(tuple);
-      LogViewDelta(tuple, /*added=*/false);
+      LogViewDelta(owner, tuple, /*added=*/false);
       OnTupleRemoved(owner, tuple);
     }
     return !underivable.empty();

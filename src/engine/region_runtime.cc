@@ -177,13 +177,13 @@ void RegionRuntime::ExpandFrom(LogicalNode x, NodeState& state,
 }
 
 void RegionRuntime::NotifyViewInsert(LogicalNode at, const Tuple& active) {
-  LogViewDelta(active, /*added=*/true);
+  LogViewDelta(at, active, /*added=*/true);
   LogicalNode owner = AggOwner(static_cast<int>(active.IntAt(0)));
   Send(at, owner, kPortAgg, Update::Insert(active, TrueProv()));
 }
 
 void RegionRuntime::NotifyViewDelete(LogicalNode at, const Tuple& active) {
-  LogViewDelta(active, /*added=*/false);
+  LogViewDelta(at, active, /*added=*/false);
   LogicalNode owner = AggOwner(static_cast<int>(active.IntAt(0)));
   Send(at, owner, kPortAgg, Update::Delete(active));
 }

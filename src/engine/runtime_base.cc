@@ -11,7 +11,6 @@ RuntimeBase::RuntimeBase(int num_logical, const RuntimeOptions& options)
     : RuntimeBase(std::make_shared<Substrate>(
                       num_logical,
                       SubstrateOptions{options.num_physical,
-                                       options.batch_delivery,
                                        options.shards,
                                        /*injector=*/nullptr,
                                        options.faults}),
@@ -52,8 +51,7 @@ bool RuntimeBase::Run() {
   abort_metrics_.reset();
   last_fault_.clear();
   auto start = std::chrono::steady_clock::now();
-  Substrate::DrainOutcome out = sub_->DrainToFixpoint(
-      Substrate::DrainBudget{opts_.message_budget, opts_.time_budget_s});
+  Substrate::DrainOutcome out = sub_->DrainToFixpoint(opts_.time_budget_s);
   auto end = std::chrono::steady_clock::now();
   wall_seconds_ += std::chrono::duration<double>(end - start).count();
   bool self_aborted = std::find(out.aborted.begin(), out.aborted.end(), ns_) !=

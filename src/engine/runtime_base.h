@@ -75,16 +75,10 @@ struct RuntimeOptions {
   double time_budget_s = 0;
   // Mean per-message latency for the simulated convergence estimate.
   double per_msg_latency_s = 0.0005;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  // Purely a dispatch-cost optimization: delivery order, results, and all
-  // traffic counters except NetworkStats::batches are identical with it
-  // off (kept as a switch for A/B measurement). Substrate-level, like
-  // num_physical.
-  bool batch_delivery = true;
   // Router shards the simulated network is partitioned across (see
-  // SubstrateOptions::shards). 1 keeps the classic sequential drain; more
-  // shards drain generations on parallel worker threads with bit-identical
-  // results and traffic counters (except NetworkStats::batches).
+  // SubstrateOptions::shards). More than one shard drains generations on
+  // parallel worker threads with bit-identical results and traffic
+  // counters (except NetworkStats::batches).
   // Substrate-level, like num_physical.
   int shards = 1;
   // Fault injection (src/fault/fault.h): seeded worker-death / allocation
@@ -169,8 +163,8 @@ class RuntimeBase {
   // patches for its materialized scan caches. Logging defaults to off so
   // runs without live caches (all benchmarks) never pay for it.
   //
-  // Sharded drains keep one log per router shard (indexed by the worker's
-  // Router::current_shard()), so parallel workers never contend; all events
+  // Sharded drains keep one log per router shard (indexed by the shard of
+  // the tuple's owner node), so parallel workers never contend; all events
   // for one tuple land in its owner node's shard log, preserving the
   // per-tuple chronology the caching layer's last-write-wins compression
   // needs.
@@ -240,11 +234,15 @@ class RuntimeBase {
 
   // Records one recursive-view membership change (no-op unless logging is
   // enabled). Runtimes call this at every point a tuple enters or leaves
-  // their fixpoint view. Safe from parallel shard workers: each appends to
-  // its own shard's log.
-  void LogViewDelta(const Tuple& tuple, bool added) {
+  // their fixpoint view, passing the node that owns the tuple. The event
+  // goes to the owner's shard log whichever thread records it, so a tuple's
+  // events stay in one log in the order they happened — also when the
+  // coordinator removes it outside a drain (relative-provenance sweeps).
+  // Safe from parallel shard workers: a worker only records events of the
+  // nodes on its own shard.
+  void LogViewDelta(LogicalNode owner, const Tuple& tuple, bool added) {
     if (log_view_deltas_) {
-      view_delta_logs_[static_cast<size_t>(Router::current_shard())]
+      view_delta_logs_[static_cast<size_t>(router().ShardOf(owner))]
           .emplace_back(tuple, added);
     }
   }

@@ -80,7 +80,7 @@ void EncodeEngineOptions(persist::Writer* w, const EngineOptions& o) {
   w->U64(o.runtime.message_budget);
   w->F64(o.runtime.time_budget_s);
   w->F64(o.runtime.per_msg_latency_s);
-  w->Bool(o.runtime.batch_delivery);
+  w->Bool(true);  // Retired delivery-mode byte (see persist::WriteSummary).
   w->I32(o.runtime.shards);
   w->I32(o.num_nodes);
   w->U8(static_cast<uint8_t>(o.aggsel));
@@ -130,7 +130,7 @@ Status DecodeEngineOptions(persist::Reader* r, EngineOptions* o) {
   o->runtime.message_budget = r->U64();
   o->runtime.time_budget_s = r->F64();
   o->runtime.per_msg_latency_s = r->F64();
-  o->runtime.batch_delivery = r->Bool();
+  r->Bool();  // Retired delivery-mode byte, ignored.
   o->runtime.shards = r->I32();
   o->num_nodes = r->I32();
   uint8_t aggsel = r->U8();
@@ -157,8 +157,8 @@ Session::Session(const SessionOptions& options)
                     : nullptr),
       substrate_(std::make_shared<Substrate>(
           options.num_nodes > 0 ? options.num_nodes : 0,
-          SubstrateOptions{options.num_physical, options.batch_delivery,
-                           options.shards, injector_, options.faults})) {
+          SubstrateOptions{options.num_physical, options.shards, injector_,
+                           options.faults})) {
   ArmBarrierHook();
 }
 
@@ -581,8 +581,8 @@ Status Session::RecoverFromFault() {
   // (generation counter, one-shot kill) survives the rebuild.
   substrate_ = std::make_shared<Substrate>(
       options_.num_nodes > 0 ? options_.num_nodes : 0,
-      SubstrateOptions{options_.num_physical, options_.batch_delivery,
-                       options_.shards, injector_, options_.faults});
+      SubstrateOptions{options_.num_physical, options_.shards, injector_,
+                       options_.faults});
   // Re-instantiate every view's runtime on the new substrate, in residency
   // order so view i claims namespace i. Each replacement destroys the old
   // runtime (detaching it from the dead substrate, which is freed with its
@@ -753,7 +753,6 @@ Status Session::Checkpoint(const std::string& path) const {
   persist::SnapshotSummary summary;
   summary.num_nodes = router.num_logical();
   summary.num_physical = router.num_physical();
-  summary.batch_delivery = router.batching();
   summary.shards = router.num_shards();
   {
     std::vector<std::string> names;
@@ -854,19 +853,16 @@ Status Session::Restore(const std::string& path) {
         "or pending messages)");
   }
   std::vector<uint8_t> payload;
-  persist::SnapshotHeader header;
-  RECNET_RETURN_IF_ERROR(persist::ReadSnapshotPayload(path, &payload, &header));
+  RECNET_RETURN_IF_ERROR(persist::ReadSnapshotPayload(path, &payload));
   persist::Reader raw(payload);
   persist::SnapshotSummary summary;
   RECNET_RETURN_IF_ERROR(persist::ReadSummary(&raw, &summary));
 
   const Router& router = substrate_->router();
-  if (summary.num_physical != router.num_physical() ||
-      summary.batch_delivery != router.batching()) {
+  if (summary.num_physical != router.num_physical()) {
     return Status::InvalidArgument(
         "snapshot deployment (num_physical=" +
-        std::to_string(summary.num_physical) + ", batch_delivery=" +
-        (summary.batch_delivery ? "true" : "false") +
+        std::to_string(summary.num_physical) +
         ") does not match this session's; the shard count alone may differ");
   }
   if (summary.num_nodes < router.num_logical()) {
@@ -877,9 +873,7 @@ Status Session::Restore(const std::string& path) {
         std::to_string(summary.num_nodes) + ")");
   }
 
-  // The decoder speaks the on-disk version: a pre-complement-edge (v2)
-  // node table decodes into canonical tagged refs via the restore path.
-  persist::BddDecoder dec(substrate_->bdd_manager(), header.version);
+  persist::BddDecoder dec(substrate_->bdd_manager());
   persist::SnapshotReader sr(&raw, &dec);
 
   // Clock.

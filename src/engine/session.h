@@ -28,8 +28,6 @@ struct SessionOptions {
   int num_nodes = 0;
   // Physical peers the logical nodes are mapped onto.
   int num_physical = 12;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  bool batch_delivery = true;
   // Router shards the simulated network is partitioned across (see
   // SubstrateOptions::shards): node n resides on shard n % shards, so nodes
   // added later (AddNode / late facts) land on their shard without
@@ -123,11 +121,11 @@ class Session {
   // runtime (Unimplemented for external-factory views).
   Status Checkpoint(const std::string& path) const;
 
-  // Restores into a freshly constructed session whose SessionOptions match
-  // the snapshot's num_physical / batch_delivery (the shard count may
-  // differ: delivery is shard-count invariant). FailedPrecondition when the
-  // session already holds views or facts; InvalidArgument on a deployment
-  // mismatch or version skew; DataLoss on corruption.
+  // Restores into a freshly constructed session whose num_physical matches
+  // the snapshot's (the shard count may differ: delivery is shard-count
+  // invariant). FailedPrecondition when the session already holds views or
+  // facts; InvalidArgument on a deployment mismatch or version skew (only
+  // format version 3 is read); DataLoss on corruption.
   Status Restore(const std::string& path);
 
   // --- Shared fact ingestion, keyed by relation name ------------------------

@@ -180,7 +180,7 @@ void ShortestPathRuntime::ApplyFixInsert(LogicalNode at, NodeState& state,
   bool is_new = false;
   std::optional<Prov> delta = state.fix->ProcessInsert(tuple, pv, &is_new);
   if (!delta.has_value()) return;
-  if (is_new) LogViewDelta(tuple, /*added=*/true);
+  if (is_new) LogViewDelta(at, tuple, /*added=*/true);
   for (Update& out :
        state.join->ProcessInsert(PipelinedHashJoin::kRight, tuple, *delta)) {
     if (out.type == UpdateType::kInsert) {
@@ -194,7 +194,7 @@ void ShortestPathRuntime::ApplyFixInsert(LogicalNode at, NodeState& state,
 void ShortestPathRuntime::ApplyFixDelete(LogicalNode at, NodeState& state,
                                          const Tuple& tuple) {
   if (!state.fix->ProcessDelete(tuple)) return;
-  LogViewDelta(tuple, /*added=*/false);
+  LogViewDelta(at, tuple, /*added=*/false);
   for (Update& out :
        state.join->ProcessDelete(PipelinedHashJoin::kRight, tuple)) {
     // Retractions of this path's extensions cascade through the shipping
@@ -253,7 +253,7 @@ void ShortestPathRuntime::HandleKill(LogicalNode at, NodeState& state,
   if (fresh.empty()) return;
   Fixpoint::KillResult result = state.fix->ProcessKill(fresh);
   for (const Tuple& removed : result.removed) {
-    LogViewDelta(removed, /*added=*/false);
+    LogViewDelta(at, removed, /*added=*/false);
   }
   state.join->ProcessKill(fresh);
   if (state.agg_fix != nullptr) {

@@ -20,7 +20,6 @@ Substrate::Substrate(int num_nodes, const SubstrateOptions& options)
               std::max(1, options.shards)) {
   router_.set_batch_handler(
       [this](const Envelope* envs, size_t n) { Dispatch(envs, n); });
-  router_.set_batching(options.batch_delivery);
   injector_ = options.injector;
   if (injector_ == nullptr && options.faults.enabled()) {
     injector_ = std::make_shared<fault::FaultInjector>(options.faults);
@@ -258,59 +257,13 @@ uint64_t Substrate::StepCapacity(const Arbitration& arb) const {
   return cap;
 }
 
-Substrate::DrainOutcome Substrate::DrainToFixpoint(const DrainBudget& budget) {
-  return router_.num_shards() == 1 ? DrainSequential(budget)
-                                   : DrainSupersteps(budget);
-}
-
-Substrate::DrainOutcome Substrate::DrainSequential(const DrainBudget& budget) {
-  auto start = std::chrono::steady_clock::now();
-  DrainOutcome out;
-  Arbitration arb = BeginArbitration();
-  uint64_t processed = 0;
-  // The wall-clock budget is polled every 32 deliveries; batches are
-  // clipped at the next poll point so a long coalesced run cannot overshoot
-  // the time cap unchecked.
-  uint64_t next_time_check = 32;
-  do {
-    while (router_.pending() > 0) {
-      EnforceBudgets(&arb, &out);
-      if (router_.pending() == 0) break;  // Aborts purged everything queued.
-      // One injector tick per delivery round — the sequential analogue of a
-      // superstep generation. A fault stops the drain with the queue intact.
-      if (PollFault(&out)) break;
-      uint64_t step_cap = StepCapacity(arb);
-      if (budget.time_budget_s > 0) {
-        step_cap = std::min(step_cap, next_time_check - processed);
-      }
-      processed += router_.StepBatch(static_cast<size_t>(step_cap));
-      if (budget.time_budget_s > 0 && processed >= next_time_check) {
-        next_time_check = processed + 32;
-        double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        if (elapsed > budget.time_budget_s) {
-          out.timed_out = true;
-          break;
-        }
-      }
-      MaybeBarrierHook();
-    }
-    if (out.timed_out || out.faulted) break;
-    // Quiescence is the historic abort point for a view that landed exactly
-    // on its budget: charge the final step before polling for more work.
-    EnforceBudgets(&arb, &out);
-  } while (PollAfterQuiescent(arb.aborted));
-  return out;
-}
-
-Substrate::DrainOutcome Substrate::DrainSupersteps(const DrainBudget& budget) {
+Substrate::DrainOutcome Substrate::DrainToFixpoint(double time_budget_s) {
   std::chrono::steady_clock::time_point deadline;
-  bool timed = budget.time_budget_s > 0;
+  bool timed = time_budget_s > 0;
   if (timed) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(budget.time_budget_s));
+                   std::chrono::duration<double>(time_budget_s));
   }
   // Shard workers share the manager through the striped unique table and
   // per-worker op caches: give every shard its private slot and switch the
@@ -319,12 +272,16 @@ Substrate::DrainOutcome Substrate::DrainSupersteps(const DrainBudget& budget) {
   // Every provenance mode runs parallel now — kRelative's pseudo-variable
   // allocation uses per-shard interleaved id streams and its kills are
   // staged behind the barrier epoch, so the schedule no longer leaks.
-  // A single-hardware-thread host never spawns drain workers (the router
-  // interleaves shards on this thread), so it keeps the manager's cheaper
-  // single-threaded mode; results are bit-identical either way.
-  const bool parallel = Router::ParallelWidth() > 1;
-  bdd_.EnsureWorkerSlots(static_cast<size_t>(router_.num_shards()));
-  bdd_.set_concurrent(parallel);
+  // A single shard, or a single-hardware-thread host, never spawns drain
+  // workers (the router interleaves shards on this thread), so it keeps the
+  // manager's cheaper single-threaded mode; results are bit-identical
+  // either way.
+  const bool parallel =
+      router_.num_shards() > 1 && Router::ParallelWidth() > 1;
+  if (parallel) {
+    bdd_.EnsureWorkerSlots(static_cast<size_t>(router_.num_shards()));
+    bdd_.set_concurrent(true);
+  }
   DrainOutcome out;
   Arbitration arb = BeginArbitration();
   do {
@@ -350,9 +307,11 @@ Substrate::DrainOutcome Substrate::DrainSupersteps(const DrainBudget& budget) {
       MaybeBarrierHook();
     }
     if (out.timed_out || out.faulted) break;
+    // Quiescence is also where a view that landed exactly on its budget is
+    // charged, before polling for more work.
     EnforceBudgets(&arb, &out);
   } while (PollAfterQuiescent(arb.aborted));
-  bdd_.set_concurrent(false);
+  if (parallel) bdd_.set_concurrent(false);
   return out;
 }
 

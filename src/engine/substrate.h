@@ -23,14 +23,12 @@ class RuntimeBase;
 struct SubstrateOptions {
   // Physical peers the logical nodes are mapped onto (paper default: 12).
   int num_physical = 12;
-  // Coalesce same-(dst, port) delivery runs into single handler batches.
-  bool batch_delivery = true;
   // Router shards the logical node-id space is partitioned across. With
-  // more than one shard the drain becomes a superstep loop whose shards
-  // run on parallel worker threads (every provenance mode, relative
-  // included: tuple variables come from per-shard id streams and kill
-  // visibility is published at superstep barriers); results and traffic
-  // counters are bit-identical for every shard count.
+  // more than one shard the superstep drain runs its shards on parallel
+  // worker threads (every provenance mode, relative included: tuple
+  // variables come from per-shard id streams and kill visibility is
+  // published at superstep barriers); results and traffic counters are
+  // bit-identical for every shard count.
   int shards = 1;
   // Fault injection: when `injector` is set it is shared with the caller
   // (Session keeps one injector across substrate rebuilds so the fault
@@ -140,14 +138,6 @@ class Substrate {
 
   // --- Shared drain loop ----------------------------------------------------
 
-  struct DrainBudget {
-    // The initiating view's message budget (kept for the time-cap plumbing;
-    // message arbitration is per attached view, see DrainToFixpoint).
-    uint64_t message_budget = 0;
-    // Wall-clock cap in seconds (0 = unlimited).
-    double time_budget_s = 0;
-  };
-
   struct DrainOutcome {
     // The initiator's wall-clock budget expired (the drain stopped; nothing
     // was purged — the caller decides who pays, as before).
@@ -167,12 +157,12 @@ class Substrate {
   // Drains the shared network to session-wide quiescence, then polls every
   // attached runtime's AfterQuiescent hook (DRed re-derivation,
   // relative-mode derivability sweeps) and keeps draining until no view
-  // seeds more work. On a single-shard substrate this is the classic
-  // sequential FIFO drain, bit-for-bit; on a sharded substrate it is a
-  // superstep loop whose generations drain on parallel workers for every
-  // provenance mode (relative views allocate tuple variables from
-  // per-shard id streams and their kills publish at barriers, so they no
-  // longer serialize the schedule).
+  // seeds more work. It is one superstep loop for every shard count: each
+  // iteration delivers one router generation (at one shard, the classic
+  // FIFO refill). A sharded generation drains on parallel workers for
+  // every provenance mode (relative views allocate tuple variables from
+  // per-shard id streams and their kills publish at barriers, so they do
+  // not serialize the schedule).
   //
   // Message budgets are arbitrated per view: each attached runtime is
   // charged for the deliveries *it* received (Router::DeliveredByNs against
@@ -180,8 +170,9 @@ class Substrate {
   // view's runaway fixpoint can no longer starve or falsely abort a
   // co-resident view sharing the drain. A view that exhausts its budget is
   // aborted immediately — exactly the cutoff semantics a solo run had —
-  // while the drain continues for the survivors.
-  DrainOutcome DrainToFixpoint(const DrainBudget& budget);
+  // while the drain continues for the survivors. `time_budget_s` is the
+  // initiating view's wall-clock cap (0 = unlimited).
+  DrainOutcome DrainToFixpoint(double time_budget_s);
 
   // --- Fault injection ------------------------------------------------------
 
@@ -190,10 +181,9 @@ class Substrate {
   // rebuilds.
   fault::FaultInjector* fault_injector() const { return injector_.get(); }
 
-  // Installs a barrier hook the drain loops call every `interval`
-  // generations (superstep barriers on a sharded drain, delivery rounds on
-  // the sequential one) with all workers joined — Session points it at its
-  // micro-checkpoint capture. interval == 0 disables periodic invocation.
+  // Installs a barrier hook the drain calls every `interval` generations
+  // with all workers joined — Session points it at its micro-checkpoint
+  // capture. interval == 0 disables periodic invocation.
   void set_barrier_hook(std::function<void()> hook, uint64_t interval) {
     barrier_hook_ = std::move(hook);
     hook_interval_ = interval;
@@ -229,10 +219,6 @@ class Substrate {
   // (budget-aborted views must not seed new work for a drain that just
   // discarded their queues).
   bool PollAfterQuiescent(const std::vector<char>& skip_aborted);
-  // The pre-sharding sequential drain (single-shard fast path).
-  DrainOutcome DrainSequential(const DrainBudget& budget);
-  // Superstep drain across router shards.
-  DrainOutcome DrainSupersteps(const DrainBudget& budget);
   // Ticks the injector's generation clock and polls the coordinator-side
   // infrastructure faults. Returns true (and fills `out`) when one fired —
   // the drain stops with queues intact so recovery can roll back.
@@ -279,7 +265,7 @@ class Substrate {
   // shard's worker (or the coordinator, for stream 0), so no atomics.
   std::vector<uint64_t> next_k_;
   // Quiescence epochs folded into dead_epoch() (bumped once per
-  // PollAfterQuiescent round, identically on both drain paths).
+  // PollAfterQuiescent round).
   uint64_t quiesce_epochs_ = 0;
   // Fault injection (null when the options enabled none).
   std::shared_ptr<fault::FaultInjector> injector_;

@@ -39,8 +39,9 @@ class FaultInjector;
 // count, exactly the delivery order of the classic single-FIFO router —
 // each node sees its messages in the same order, so per-node operator state,
 // every sent message, and every NetworkStats counter except `batches` are
-// bit-identical across shard counts (and identical to the pre-sharding
-// sequential router when num_shards == 1). The one requirement on handlers
+// bit-identical across shard counts. A single shard runs the same loop: its
+// barrier merge degenerates to swapping the one mailbox in, which is the
+// classic two-phase FIFO refill. The one requirement on handlers
 // is that messages sent while processing a delivery originate (`src`) from
 // the node being processed — true of every runtime, and what charges the
 // send to the right shard without locks.
@@ -49,9 +50,8 @@ class FaultInjector;
 // same (dst, port) are handed to the batch handler as one contiguous run,
 // amortizing handler dispatch and letting runtimes hoist per-destination
 // state lookups (every envelope of a run hits the same operator input).
-// Batching never reorders messages, so runs are delivery-for-delivery
-// identical to unbatched execution and every NetworkStats counter except
-// `batches` matches exactly (wire accounting happens at Send time).
+// Batching never reorders messages: concatenating the runs gives exactly the
+// FIFO delivery sequence (wire accounting happens at Send time).
 //
 // Port namespaces: several co-resident runtimes (the views of one
 // recnet::Session) can share a router by operating in disjoint port ranges
@@ -64,7 +64,6 @@ class FaultInjector;
 // single-runtime use is unchanged.
 class Router {
  public:
-  using Handler = std::function<void(const Envelope&)>;
   // Receives contiguous same-(dst, port) runs.
   using BatchHandler = std::function<void(const Envelope* envs, size_t n)>;
 
@@ -88,17 +87,10 @@ class Router {
   // rebalances existing nodes).
   void GrowLogical(int num_logical);
 
-  // Per-envelope handler. Used as a fallback when no batch handler is set
-  // (each envelope of a batch is dispatched individually).
-  void set_handler(Handler handler) { handler_ = std::move(handler); }
-  // Batch-aware handler: receives contiguous same-(dst, port) runs.
+  // The delivery handler: receives contiguous same-(dst, port) runs.
   void set_batch_handler(BatchHandler handler) {
     batch_handler_ = std::move(handler);
   }
-  // Disables run coalescing (batches of size 1). The engine exposes this
-  // via RuntimeOptions::batch_delivery for A/B runs; results and traffic
-  // counters are identical either way.
-  void set_batching(bool enabled) { batching_ = enabled; }
 
   int num_logical() const { return num_logical_; }
   int num_physical() const { return num_physical_; }
@@ -126,29 +118,16 @@ class Router {
   // multi-threaded drain.
   static void OverrideParallelWidth(int width);
 
-  // True when no shard holds an undelivered envelope of the current
-  // generation (trivially true between generations). Generation boundaries
-  // are shard-count invariant — PrepareGeneration is a no-op mid
-  // generation — so this is where the engine publishes cross-node effects
-  // staged during parallel dispatch. Coordinator-only (workers joined).
-  bool generation_consumed() const {
-    for (const RouterShard& s : shards_) {
-      if (s.head < s.queue.size()) return false;
-    }
-    return true;
-  }
-
   // Number of generations begun so far: incremented exactly when
   // PrepareGeneration merges staged sends into a new deliverable
   // generation. Generation boundaries are BSP points determined by the
   // message dependency depth alone, so this count is identical for every
-  // shard count (single-shard StepBatch refills and superstep merges bump
-  // it at the same logical instants). The engine derives the dead-variable
+  // shard count. The engine derives the dead-variable
   // visibility epoch from it. Stable while workers run (merges happen with
   // workers joined).
   uint64_t generations_begun() const { return generations_; }
 
-  // True while ProcessGeneration / StepBatch dispatches handlers. The
+  // True while ProcessGeneration dispatches handlers. The
   // engine uses it to classify side effects as mid-generation (published at
   // the next barrier) versus external (immediately visible). Written only
   // with workers joined.
@@ -166,47 +145,25 @@ class Router {
   void SendBatch(LogicalNode src, LogicalNode dst, int port,
                  std::vector<Update> updates);
 
-  // --- Sequential drain (single-shard fast path) ----------------------------
-
-  // Delivers the oldest pending message to the handler. Returns false when
-  // the network is quiescent. Single-shard routers only.
-  bool Step();
-
-  // Delivers the oldest pending run of same-(dst, port) messages (at most
-  // `max_n`) as one batch. Returns the number of messages delivered, 0 when
-  // quiescent. Single-shard routers only.
-  size_t StepBatch(size_t max_n = SIZE_MAX);
-
-  // Drains the queue. Returns false if `max_messages` deliveries did not
-  // reach quiescence (the experiment's work budget — the paper's "did not
-  // complete within 5 minutes"); the undelivered remainder is discarded and
-  // recorded in NetworkStats::{aborted_runs,dropped_messages} so the run
-  // cannot silently resume from a stale queue. Single-shard routers only.
-  bool RunUntilQuiescent(uint64_t max_messages);
-
-  // --- Superstep drain (any shard count) ------------------------------------
-
-  // If every shard's queue is drained, merges the pending mailboxes into
-  // the next generation: a k-way merge over all (src, dst)-shard mailboxes
-  // by the canonical send-order key, assigning global sequence numbers and
-  // distributing envelopes to their destination shards. No-op mid
-  // generation. Returns pending().
-  size_t PrepareGeneration();
+  // --- Superstep drain ------------------------------------------------------
 
   struct StepResult {
     uint64_t delivered = 0;
     bool deadline_exceeded = false;
   };
 
-  // Delivers up to `max_n` messages of the prepared generation, in global
-  // sequence order. When `parallel` is set (and more than one shard has
-  // work), shards drain on worker threads — callers must first make the
-  // handlers thread-safe across *different* destination nodes (the engine's
-  // concurrent BDD manager and barrier-published dead-variable epochs make
-  // every provenance mode safe, relative included). Otherwise shards are
-  // interleaved in sequence order on the calling thread; both schedules
-  // produce bit-identical results. If `deadline` is non-null, workers poll
-  // it and stop early (the run is then expected to be aborted).
+  // Prepares the next generation if the current one is consumed, then
+  // delivers up to `max_n` of its messages in global sequence order (a
+  // caller's work budget clips here; AbortRun discards the rest). Drain to
+  // quiescence by calling it until pending() is 0. When `parallel` is set
+  // (and more than one shard has work), shards drain on worker threads —
+  // callers must first make the handlers thread-safe across *different*
+  // destination nodes (the engine's concurrent BDD manager and
+  // barrier-published dead-variable epochs make every provenance mode
+  // safe, relative included). Otherwise shards are interleaved in sequence
+  // order on the calling thread; both schedules produce bit-identical
+  // results. If `deadline` is non-null, workers poll it and stop early (the
+  // run is then expected to be aborted).
   StepResult ProcessGeneration(
       uint64_t max_n, bool parallel,
       const std::chrono::steady_clock::time_point* deadline = nullptr);
@@ -244,8 +201,6 @@ class Router {
   // budget arbitration reads it at drain entry and charges each view for
   // the deliveries it received since.
   uint64_t DeliveredByNs(int ns) const;
-
-  bool batching() const { return batching_; }
 
   // Merged per-namespace traffic view: the element-wise sum of every
   // shard's NetworkStats for `ns` (a single-shard router's counters pass
@@ -322,6 +277,13 @@ class Router {
   // Reverses ChargeSend for a message that is being dropped undelivered.
   void UnchargeSend(const Envelope& env);
 
+  // If every shard's queue is drained, merges the pending mailboxes into
+  // the next generation: a k-way merge over all (src, dst)-shard mailboxes
+  // by the canonical send-order key, assigning global sequence numbers and
+  // distributing envelopes to their destination shards. No-op mid
+  // generation. Returns pending().
+  size_t PrepareGeneration();
+
   // Delivers queue[start, end) of `shard` as one batch (same (dst, port),
   // consecutive sequence numbers) and scavenges kill buffers.
   void DeliverRun(RouterShard& shard, size_t start, size_t end);
@@ -346,9 +308,7 @@ class Router {
   int num_logical_;
   int num_physical_;
   int num_namespaces_ = 1;
-  Handler handler_;
   BatchHandler batch_handler_;
-  bool batching_ = true;
   std::vector<RouterShard> shards_;
   // Global delivery sequence numbers start at 1 so the pre-run external
   // context (trig 0) orders before every handler send.
@@ -359,7 +319,7 @@ class Router {
   // AfterQuiescent seeding). ext_trig_ tracks the last delivered sequence.
   uint64_t ext_trig_ = 0;
   uint32_t ext_sub_ = 0;
-  // True while ProcessGeneration / StepBatch dispatches handlers; routes
+  // True while ProcessGeneration dispatches handlers; routes
   // Send's ordering context to the sending shard instead of the external
   // counters. Written only by the coordinating thread while workers are
   // quiescent.

@@ -25,10 +25,9 @@ inline constexpr uint64_t kSnapshotMagic = 0x706B63'74656E6372ULL;  // "rcnetckp
 // Version 3: the BDD node table and every stored root are complement-edge
 // tagged refs — (remapped node id << 1) | complement bit, with id 0 the
 // single TRUE terminal — instead of version 2's plain node ids with two
-// terminal ids. Writers emit version 3; readers accept 2 and 3 (a v2 table
-// decodes through the manager's canonicalizing restore path).
+// terminal ids. Writers emit version 3 and readers accept only version 3.
 inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kMinSnapshotVersion = 2;
+inline constexpr uint32_t kMinSnapshotVersion = 3;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 

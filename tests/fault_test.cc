@@ -14,6 +14,7 @@
 //    visible in the link_dropped/link_retried/link_duplicated counters.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -376,7 +377,12 @@ TEST(CrashRecoveryEdgeTest, RetryBudgetExhaustionSurfacesTheFault) {
 class TornCheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fault_test_torn.snap";
+    // Named after the test plus the pid, so concurrent `ctest -j` processes
+    // never share the file.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "/" + info->test_suite_name() + "." +
+            info->name() + "." + std::to_string(::getpid()) + ".snap";
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }

@@ -10,7 +10,9 @@
 // inside one shared drain.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -54,8 +56,39 @@ constexpr char kRegion[] = R"(
 
 constexpr int kNodes = 12;
 
+// Every path a test process handed out, removed when the process ends.
+std::vector<std::string>& TempPaths() {
+  static std::vector<std::string> paths;
+  return paths;
+}
+
+class TempPathCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    for (const std::string& path : TempPaths()) {
+      std::remove(path.c_str());
+      std::remove((path + ".tmp").c_str());
+    }
+  }
+};
+
+const ::testing::Environment* const kTempPathCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempPathCleanup);
+
+// A scratch file private to the running test. ctest runs every TEST as its
+// own process, so under `ctest -j` a fixed name would be written by several
+// tests at once; the test's full name plus the pid keeps them apart.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = info == nullptr ? std::string("global")
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  std::replace(test.begin(), test.end(), '/', '_');
+  std::string path = ::testing::TempDir() + "/" + test + "." +
+                     std::to_string(::getpid()) + "." + name;
+  TempPaths().push_back(path);
+  return path;
 }
 
 SensorField TestField() {
@@ -477,10 +510,14 @@ TEST_F(PersistCorruptionTest, BitFlipIsDataLoss) {
 }
 
 TEST_F(PersistCorruptionTest, VersionSkewIsInvalidArgument) {
-  std::vector<char> skewed = bytes_;
-  skewed[8] = 99;  // Header layout: magic u64, then version u32.
-  WriteBack(skewed);
-  EXPECT_EQ(RestoreCode(), StatusCode::kInvalidArgument);
+  // A future version, and version 2: the reader accepts version 3 only.
+  for (char version : {char{99}, char{2}}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    std::vector<char> skewed = bytes_;
+    skewed[8] = version;  // Header layout: magic u64, then version u32.
+    WriteBack(skewed);
+    EXPECT_EQ(RestoreCode(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(PersistCorruptionTest, WrongMagicIsInvalidArgument) {
