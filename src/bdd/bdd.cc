@@ -104,7 +104,13 @@ bool Manager::VisitFirst(WorkerSlot& w, NodeIndex n) const {
 void Manager::BeginTraversal(WorkerSlot& w) const {
   size_t allocated = next_index_.load(std::memory_order_relaxed);
   if (w.visit_stamp.size() < allocated) {
-    w.visit_stamp.resize(allocated, 0);
+    // Cover the allocated segments exactly, instead of letting resize grow
+    // the array geometrically past the store.
+    const size_t capacity = std::max(
+        allocated,
+        segments_allocated_.load(std::memory_order_relaxed) * kSegSize);
+    w.visit_stamp.reserve(capacity);
+    w.visit_stamp.resize(capacity, 0);
   }
   if (++w.current_stamp == 0) {  // Stamp wrap: reset marks once per 2^32.
     std::fill(w.visit_stamp.begin(), w.visit_stamp.end(), 0);
@@ -165,10 +171,9 @@ BddRef Manager::MakeNode(Var var, BddRef low, BddRef high) {
     GrowBuckets();
     bucket = hash & (buckets_.size() - 1);
   }
-  NodeIndex idx;
-  if (!stripe.free_list.empty()) {
-    idx = stripe.free_list.back();
-    stripe.free_list.pop_back();
+  NodeIndex idx = stripe.free_head;
+  if (idx != kNilNode) {
+    stripe.free_head = node_at(idx).next;
   } else {
     idx = next_index_.fetch_add(1, std::memory_order_relaxed);
     RECNET_CHECK_LT(idx, kMaxNodes);
@@ -502,14 +507,18 @@ size_t Manager::GarbageCollect() {
   // Sweep: rebuild the unique table and the per-stripe free lists from the
   // mark bits in one linear pass (every unmarked slot is free, whether it
   // died now or was already on a free list). Free slots are distributed
-  // round-robin over stripes so recycling stays lock-local.
+  // round-robin over stripes so recycling stays lock-local. Pushing in
+  // ascending index order means allocation pops each stripe's highest free
+  // index first.
   size_t entries_before = table_entries_.load(std::memory_order_relaxed);
   std::fill(buckets_.begin(), buckets_.end(), kNilNode);
-  for (Stripe& s : stripes_) s.free_list.clear();
+  for (Stripe& s : stripes_) s.free_head = kNilNode;
   size_t entries = 0;
   for (NodeIndex i = 1; i < allocated; ++i) {
     if (!marked[i]) {
-      stripes_[i & kStripeMask].free_list.push_back(i);
+      Stripe& s = stripes_[i & kStripeMask];
+      node_at(i).next = s.free_head;
+      s.free_head = i;
       continue;
     }
     Node& node = node_at(i);

@@ -280,9 +280,10 @@ class Manager {
     // (complement bit clear); `low` may carry a complement bit.
     BddRef low;
     BddRef high;
-    // Intrusive unique-table chain (next node in the same hash bucket).
-    // kNilNode terminates a chain; free-list slots are not chained. Only
-    // MakeNode touches it, under the stripe lock in concurrent mode.
+    // Intrusive unique-table chain (next node in the same hash bucket),
+    // kNilNode-terminated. A free slot is in no chain, so the same field
+    // links it into its stripe's free list instead. Only MakeNode (under
+    // the stripe lock in concurrent mode), bucket growth and GC touch it.
     NodeIndex next;
   };
 
@@ -312,7 +313,9 @@ class Manager {
   struct alignas(64) Stripe {
     std::atomic<bool> locked{false};
     std::atomic<uint64_t> contended{0};
-    std::vector<NodeIndex> free_list;
+    // Newest free slot (kNilNode when none): a LIFO stack threaded through
+    // the free slots' Node::next.
+    NodeIndex free_head = kNilNode;
   };
 
   struct CacheEntry {

@@ -25,8 +25,8 @@ struct RunMetrics {
 
   uint64_t messages = 0;
   uint64_t kill_messages = 0;
-  // Delivery batches dispatched (same-destination runs); equals deliveries
-  // when batching is disabled.
+  // Delivery batches dispatched (runs of same-destination messages handed
+  // over in one call).
   uint64_t batches = 0;
   // Budget-exhaustion record: how many runs were cut off before quiescence
   // and how many queued messages were discarded when that happened. A

@@ -53,11 +53,10 @@ struct EngineOptions {
 // Delete only enqueue updates (view state cannot change before Apply), and
 // Apply patches the cached rows and indexes from the run's view deltas —
 // the runtime's log of tuples that entered or left the view — instead of
-// rebuilding from scratch. Dependent (aggregate) view caches re-derive
-// lazily from the patched recursive rows, never from a runtime sweep. The
-// only full-rebuild paths are soft-state TTL expiry
-// (InvalidateCachesForExpiry), aborted runs, and adapters that opt out of
-// delta reporting.
+// rebuilding from scratch. Soft-state TTL expiry is an ordinary delete
+// here. Dependent (aggregate) view caches re-derive lazily from the patched
+// recursive rows, never from a runtime sweep. The only full-rebuild paths
+// are aborted runs and adapters that opt out of delta reporting.
 class QueryRuntime {
  public:
   virtual ~QueryRuntime() = default;
@@ -73,11 +72,6 @@ class QueryRuntime {
   // several co-resident views calls the three phases itself so every view's
   // delta log is armed before the shared queue drains.
   Status Apply();
-
-  // Soft-state TTL expiry hook (called by the engine clock): drops every
-  // materialized cache. Expiry-driven deletions renew base variables
-  // outside the normal delta flow, so this stays a full rebuild.
-  void InvalidateCachesForExpiry() { InvalidateViewCaches(); }
 
   // All tuples of the recursive view or of a declared aggregate view, in
   // deterministic (sorted) order. NotFound for unknown view names. Served

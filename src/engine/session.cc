@@ -390,15 +390,10 @@ Status Session::AdvanceTime(double t) {
     return Status::InvalidArgument("clock cannot run backwards (now=" +
                                    std::to_string(clock_.now()) + ")");
   }
+  // Expired facts leave through IngestDelete like any other delete: they
+  // only enqueue, and the next Apply drains them with each view's delta log
+  // armed, so the scan caches are patched rather than rebuilt.
   std::vector<Tuple> expirations = clock_.AdvanceTo(t);
-  // TTL expiry is the one mutation source outside the incremental delta
-  // flow (deadlines fire from the session clock, not the dataflow); it
-  // stays a full cache rebuild, in every view.
-  if (!expirations.empty()) {
-    for (const auto& view : views_) {
-      view->runtime_->InvalidateCachesForExpiry();
-    }
-  }
   // The clock has already dropped every deadline, so process the whole
   // expiration batch even if one deletion fails — stopping early would
   // silently make the remaining expired facts permanent.
@@ -568,7 +563,7 @@ void Session::CaptureMicroCheckpoint() {
   });
 
   enc.WriteNodeTable(&body);
-  body.Append(side);
+  body.Bytes(side.bytes().data(), side.bytes().size());
   micro_ckpt_ = body.bytes();
 }
 
@@ -731,9 +726,12 @@ Status Session::RecoverFromFault() {
 //                        (encoded against the node table above)
 //   [view stats]         per view: NetworkStats totals
 //
-// The view states are serialized into a side buffer first: encoding them
-// discovers which BDD roots are live, and the node table those ids index
-// must precede them in the payload so Restore can decode front to back.
+// The view states are encoded first, into their own buffer: encoding them
+// discovers which BDD roots are live, and both the summary's node count and
+// the node table those ids index precede them in the payload so Restore can
+// decode front to back. The file is then written from four spans (the body
+// up to the allocator image, the node count, the encoder's node table in
+// place, the view states and stats), so no buffer holds the whole payload.
 
 Status Session::Checkpoint(const std::string& path) const {
   const Router& router = substrate_->router();
@@ -781,9 +779,23 @@ Status Session::Checkpoint(const std::string& path) const {
     summary.views.push_back(std::move(vi));
   }
 
-  persist::Writer body;
-  size_t bdd_patch = persist::WriteSummary(&body, summary);
+  // View states (registers the live BDD roots with `enc`), then the
+  // per-view network counters that follow them.
   persist::BddEncoder enc(substrate_->bdd_manager());
+  persist::Writer views_buf;
+  persist::SnapshotWriter views_sw(&views_buf, &enc);
+  for (const auto& view : views_) {
+    view->runtime_->native_runtime()->SaveState(views_sw);
+  }
+  for (const auto& view : views_) {
+    views_sw.PutStats(
+        router.stats(view->runtime_->native_runtime()->port_namespace()));
+  }
+  const uint32_t bdd_nodes = static_cast<uint32_t>(enc.num_nodes());
+  summary.bdd_nodes = bdd_nodes;
+
+  persist::Writer body;
+  persist::WriteSummary(&body, summary);
   persist::SnapshotWriter sw(&body, &enc);
 
   // Clock.
@@ -817,32 +829,23 @@ Status Session::Checkpoint(const std::string& path) const {
   body.U64(dead.size());
   body.Bytes(dead.data(), dead.size());
 
-  // View states into the side buffer (registers BDD roots with `enc`), then
-  // the node table, then the states.
-  persist::Writer views_buf;
-  persist::SnapshotWriter views_sw(&views_buf, &enc);
-  for (const auto& view : views_) {
-    view->runtime_->native_runtime()->SaveState(views_sw);
-  }
-  body.PatchU32(bdd_patch, static_cast<uint32_t>(enc.num_nodes()));
-  enc.WriteNodeTable(&body);
-  body.Append(views_buf);
-
-  // Per-view network counters.
-  for (const auto& view : views_) {
-    sw.PutStats(
-        router.stats(view->runtime_->native_runtime()->port_namespace()));
-  }
+  const std::vector<persist::ByteSpan> payload = {
+      {body.bytes().data(), body.bytes().size()},
+      {&bdd_nodes, sizeof bdd_nodes},
+      enc.node_table(),
+      {views_buf.bytes().data(), views_buf.bytes().size()},
+  };
 
   // Injected snapshot tear: the write stops short inside the `.tmp` and the
   // rename never happens, so `path` is untouched — a prior checkpoint there
   // survives intact and the caller sees a typed Unavailable.
   fault::FaultInjector* injector = substrate_->fault_injector();
   if (injector != nullptr && injector->ShouldTearSnapshot()) {
-    const size_t total = persist::kSnapshotHeaderBytes + body.bytes().size();
-    return persist::WriteSnapshotFile(path, body, total / 2);
+    size_t total = persist::kSnapshotHeaderBytes;
+    for (const persist::ByteSpan& span : payload) total += span.size;
+    return persist::WriteSnapshotFile(path, payload, total / 2);
   }
-  return persist::WriteSnapshotFile(path, body);
+  return persist::WriteSnapshotFile(path, payload);
 }
 
 Status Session::Restore(const std::string& path) {

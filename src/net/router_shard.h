@@ -28,7 +28,7 @@ struct NetworkStats {
   uint64_t prov_bytes = 0;    // Annotation bytes on cross-physical inserts.
   uint64_t prov_samples = 0;  // Number of such inserts.
   // Delivery batches (runs of same-(dst, port) messages handed to the
-  // handler in one call). Equals deliveries when batching is off.
+  // handler in one call).
   uint64_t batches = 0;
   // Budget-exhaustion accounting: runs cut off before quiescence, and the
   // messages discarded from the queue when that happened. Non-zero exactly

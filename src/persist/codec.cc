@@ -1,7 +1,6 @@
 #include "persist/codec.h"
 
 #include <memory>
-#include <utility>
 
 namespace recnet {
 namespace persist {
@@ -17,17 +16,29 @@ constexpr uint32_t kIdBias = 1;
 
 }  // namespace
 
+BddEncoder::BddEncoder(const bdd::Manager* mgr)
+    : mgr_(mgr), id_of_(mgr->allocated_nodes(), 0) {
+  // Every encoded node is live, so the live count bounds the table: one
+  // allocation, and pages past the final size are never touched.
+  nodes_.reserve(mgr->live_nodes());
+}
+
 uint32_t BddEncoder::Encode(bdd::BddRef root) {
   const uint32_t root_node = root >> 1;
   const uint32_t root_c = root & 1u;
   if (root_node == kIdTerminalNode) return root;  // kTrue -> 0, kFalse -> 1.
-  auto found = id_of_.find(root_node);
-  if (found != id_of_.end()) return (found->second << 1) | root_c;
+  // Nodes interned since the last call may lie past the remap; every node
+  // reachable from `root` lies below allocated_nodes().
+  if (id_of_.size() < mgr_->allocated_nodes()) {
+    id_of_.resize(mgr_->allocated_nodes(), 0);
+  }
+  if (id_of_[root_node] != 0) return (id_of_[root_node] << 1) | root_c;
 
   auto mapped = [this](bdd::BddRef n) -> uint32_t {
     const uint32_t node = n >> 1;
     const uint32_t id = node == kIdTerminalNode ? kIdTerminalNode
-                                                : id_of_.at(node);
+                                                : id_of_[node];
+    RECNET_DCHECK(node == kIdTerminalNode || id != 0);
     return (id << 1) | (n & 1u);
   };
 
@@ -35,35 +46,35 @@ uint32_t BddEncoder::Encode(bdd::BddRef root) {
   // one table entry): a node is interned only after both children, so the
   // table is topologically ordered and a decoder never sees a forward
   // reference.
-  std::vector<std::pair<bdd::NodeIndex, bool>> stack;
-  stack.emplace_back(root_node, false);
-  while (!stack.empty()) {
-    auto [n, expanded] = stack.back();
-    stack.pop_back();
-    if (n == kIdTerminalNode || id_of_.find(n) != id_of_.end()) continue;
+  stack_.clear();
+  stack_.emplace_back(root_node, false);
+  while (!stack_.empty()) {
+    auto [n, expanded] = stack_.back();
+    stack_.pop_back();
+    if (n == kIdTerminalNode || id_of_[n] != 0) continue;
     const bdd::BddRef ref = n << 1;  // Regular ref for this node.
     if (expanded) {
-      uint32_t id = static_cast<uint32_t>(nodes_.size()) + kIdBias;
       nodes_.push_back(EncodedNode{mgr_->var_of(ref),
                                    mapped(mgr_->low_of(ref)),
                                    mapped(mgr_->high_of(ref))});
-      id_of_.emplace(n, id);
+      id_of_[n] = static_cast<uint32_t>(nodes_.size() - 1) + kIdBias;
     } else {
-      stack.emplace_back(n, true);
-      stack.emplace_back(mgr_->high_of(ref) >> 1, false);
-      stack.emplace_back(mgr_->low_of(ref) >> 1, false);
+      stack_.emplace_back(n, true);
+      stack_.emplace_back(mgr_->high_of(ref) >> 1, false);
+      stack_.emplace_back(mgr_->low_of(ref) >> 1, false);
     }
   }
-  return (id_of_.at(root_node) << 1) | root_c;
+  return (id_of_[root_node] << 1) | root_c;
 }
 
 void BddEncoder::WriteNodeTable(Writer* w) const {
   w->U32(static_cast<uint32_t>(nodes_.size()));
-  for (const EncodedNode& n : nodes_) {
-    w->U32(n.var);
-    w->U32(n.low);
-    w->U32(n.high);
-  }
+  const ByteSpan table = node_table();
+  w->Bytes(table.data, table.size);
+}
+
+BddDecoder::~BddDecoder() {
+  for (bdd::BddRef ref : index_of_) mgr_->Deref(ref);
 }
 
 Status BddDecoder::ReadNodeTable(Reader* r) {
@@ -72,7 +83,6 @@ Status BddDecoder::ReadNodeTable(Reader* r) {
     return r->Check("bdd node table");
   }
   index_of_.reserve(count);
-  protect_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t var = r->U32();
     uint32_t low = r->U32();
@@ -91,8 +101,8 @@ Status BddDecoder::ReadNodeTable(Reader* r) {
     // whose high edge carries a complement bit (only a corrupted payload
     // holds one) still interns to a canonical tagged ref.
     bdd::BddRef ref = mgr_->MakeNodeForRestore(var, lo, hi);
+    mgr_->Ref(ref);
     index_of_.push_back(ref);
-    protect_.emplace_back(mgr_, ref);
   }
   return r->Check("bdd node table");
 }

@@ -2,7 +2,7 @@
 #define RECNET_PERSIST_CODEC_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -26,7 +26,7 @@ namespace persist {
 // analogue of hash-consing.
 class BddEncoder {
  public:
-  explicit BddEncoder(const bdd::Manager* mgr) : mgr_(mgr) {}
+  explicit BddEncoder(const bdd::Manager* mgr);
 
   // Returns the remapped tagged ref of `root`, interning its subgraph on
   // first use. The complement bit of `root` round-trips through the low bit
@@ -37,6 +37,12 @@ class BddEncoder {
   // table order. Children-before-parents, so a decoder interns in one pass.
   void WriteNodeTable(Writer* w) const;
 
+  // The table WriteNodeTable emits after its count, borrowed in place: the
+  // encoder's node array already holds exactly those bytes.
+  ByteSpan node_table() const {
+    return {nodes_.data(), nodes_.size() * sizeof(EncodedNode)};
+  }
+
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
@@ -45,21 +51,29 @@ class BddEncoder {
     uint32_t low;
     uint32_t high;
   };
+  static_assert(sizeof(EncodedNode) == 12, "node table entries are packed");
 
   const bdd::Manager* mgr_;
-  // Keyed by node index (complement stripped): a root and its negation
+  // Remapped id by node index (complement stripped), 0 while the node is
+  // not yet encoded — internal ids start at 1. A root and its negation
   // share one table entry, exactly as they share one stored node.
-  std::unordered_map<bdd::NodeIndex, uint32_t> id_of_;
+  std::vector<uint32_t> id_of_;
   std::vector<EncodedNode> nodes_;
+  // Post-order traversal scratch, reused across Encode calls.
+  std::vector<std::pair<bdd::NodeIndex, bool>> stack_;
 };
 
-// Decodes a BddEncoder node table into a live manager, holding a protecting
+// Decodes a BddEncoder node table into a live manager, holding one
 // reference on every interned node until the decoder is destroyed (fresh
 // nodes start unreferenced, and restore runs long enough that a GC could
 // otherwise reclaim a node before the annotation referencing it is built).
 class BddDecoder {
  public:
   explicit BddDecoder(bdd::Manager* mgr) : mgr_(mgr) {}
+  ~BddDecoder();
+
+  BddDecoder(const BddDecoder&) = delete;
+  BddDecoder& operator=(const BddDecoder&) = delete;
 
   Status ReadNodeTable(Reader* r);
 
@@ -71,9 +85,9 @@ class BddDecoder {
 
  private:
   bdd::Manager* mgr_;
-  // Live (possibly complemented) refs by table position.
+  // Live (possibly complemented) refs by table position, each pinned by
+  // one reference.
   std::vector<bdd::BddRef> index_of_;
-  std::vector<bdd::Bdd> protect_;
 };
 
 // Typed encoding layer over Writer: engine values, tuples, provenance

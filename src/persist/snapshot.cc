@@ -3,15 +3,14 @@
 namespace recnet {
 namespace persist {
 
-size_t WriteSummary(Writer* w, const SnapshotSummary& s) {
+void WriteSummary(Writer* w, const SnapshotSummary& s) {
   w->I32(s.num_nodes);
   w->I32(s.num_physical);
   // Retired byte, kept so the v3 layout stays byte-for-byte: it held the
   // former batch_delivery switch. Written as 1 and ignored on read.
   w->Bool(true);
   w->I32(s.shards);
-  size_t bdd_nodes_pos = w->Tell();
-  w->U32(s.bdd_nodes);  // Placeholder; patched once annotations are interned.
+  w->U32(s.bdd_nodes);
   w->U32(static_cast<uint32_t>(s.relations.size()));
   for (const SnapshotRelationInfo& r : s.relations) {
     w->Str(r.name);
@@ -25,7 +24,6 @@ size_t WriteSummary(Writer* w, const SnapshotSummary& s) {
     w->Str(v.prov_mode);
     w->U64(v.messages);
   }
-  return bdd_nodes_pos;
 }
 
 Status ReadSummary(Reader* r, SnapshotSummary* out) {

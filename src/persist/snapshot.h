@@ -35,10 +35,9 @@ struct SnapshotSummary {
   std::vector<SnapshotViewInfo> views;
 };
 
-// Writes the summary at the current position; `bdd_nodes` is written as a
-// placeholder and the returned offset is PatchU32'd by the session encoder
-// once every annotation has been interned.
-size_t WriteSummary(Writer* w, const SnapshotSummary& s);
+// Writes the summary at the current position. The session encodes its
+// annotations before the summary, so `bdd_nodes` is already final.
+void WriteSummary(Writer* w, const SnapshotSummary& s);
 
 Status ReadSummary(Reader* r, SnapshotSummary* out);
 

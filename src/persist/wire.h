@@ -31,7 +31,12 @@ inline constexpr uint32_t kMinSnapshotVersion = 3;
 inline constexpr uint32_t kEndianTag = 0x01020304;
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 8 + 8;
 
-uint64_t Fnv1a(const uint8_t* data, size_t n);
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+// FNV-1a over `data`, continuing from `h`: folding a payload span by span
+// with each result fed to the next call equals one call over the
+// concatenation.
+uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t h = kFnv1aBasis);
 
 // Append-only byte buffer with fixed-width little-endian-native encodings.
 class Writer {
@@ -51,16 +56,6 @@ class Writer {
     PutRaw(s.data(), s.size());
   }
   void Bytes(const void* data, size_t n) { PutRaw(data, n); }
-
-  size_t Tell() const { return buf_.size(); }
-  // Back-patches a u32 written earlier (e.g. a count known only after the
-  // section body is encoded).
-  void PatchU32(size_t pos, uint32_t v) {
-    std::memcpy(buf_.data() + pos, &v, sizeof v);
-  }
-  void Append(const Writer& o) {
-    buf_.insert(buf_.end(), o.buf_.begin(), o.buf_.end());
-  }
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
 
@@ -150,17 +145,28 @@ struct SnapshotHeader {
   uint64_t checksum = 0;
 };
 
+// A borrowed run of payload bytes.
+struct ByteSpan {
+  const void* data;
+  size_t size;
+};
+
 // Crash-atomic write: header + payload go to `path + ".tmp"`, which is
 // flushed, closed, and renamed over `path` only once complete — so a crash
 // (or injected fault) mid-write never leaves a partial file at `path`; at
 // worst a torn `.tmp` remains, which the next successful write replaces.
 //
+// The payload is the concatenation of `payload`'s spans, written in order
+// straight from the caller's buffers; the header's size and checksum cover
+// all of them, so the file is the one a single contiguous buffer would give.
+//
 // `tear_after_bytes` is the fault-injection hook: when set to less than the
-// full container size, exactly that many bytes are written to the temporary,
-// the rename is skipped, and Unavailable is returned — modeling a process
-// death mid-checkpoint. Production callers leave it at the default (no
-// tear).
-Status WriteSnapshotFile(const std::string& path, const Writer& payload,
+// full container size, exactly that many bytes (counted across the header
+// and every span) are written to the temporary, the rename is skipped, and
+// Unavailable is returned — modeling a process death mid-checkpoint.
+// Production callers leave it at the default (no tear).
+Status WriteSnapshotFile(const std::string& path,
+                         const std::vector<ByteSpan>& payload,
                          size_t tear_after_bytes = SIZE_MAX);
 
 // Reads and validates the container. Typed failures:

@@ -177,6 +177,41 @@ TEST_F(BddTest, GcPreservesSemantics) {
   EXPECT_EQ(x.And(y).index(), f.index());
 }
 
+// Free slots are recycled newest-first within their unique-table stripe:
+// the GC sweep pushes slot i onto stripe i mod 64's free list in ascending
+// index order, and allocation pops the most recent push. Node indices (and
+// with them op-cache collisions) therefore stay the same however the free
+// lists are stored, and the store does not grow while a stripe has a free
+// slot.
+TEST_F(BddTest, GcRecyclesFreedSlotsNewestFirstPerStripe) {
+  constexpr NodeIndex kStripes = 64;
+  constexpr Var kGarbage = kStripes * 40;
+  Bdd keep(&mgr_, mgr_.MakeVar(0));
+  for (Var v = 1; v <= kGarbage; ++v) mgr_.MakeVar(v);  // Unreferenced.
+  const size_t allocated = mgr_.allocated_nodes();
+  EXPECT_EQ(mgr_.GarbageCollect(), size_t{kGarbage});
+
+  // Model of each stripe's free list, in push order.
+  std::vector<std::vector<NodeIndex>> free_slots(kStripes);
+  for (NodeIndex i = 1; i < allocated; ++i) {
+    if (i != keep.index() >> 1) free_slots[i % kStripes].push_back(i);
+  }
+  std::vector<Bdd> fresh;
+  for (Var v = 0; v < 300; ++v) {
+    fresh.emplace_back(&mgr_, mgr_.MakeVar(kGarbage + 1 + v));
+    const NodeIndex n = fresh.back().index() >> 1;
+    std::vector<NodeIndex>& stack = free_slots[n % kStripes];
+    ASSERT_LT(n, allocated) << "var " << v << " grew the store";
+    ASSERT_FALSE(stack.empty()) << "var " << v;
+    EXPECT_EQ(n, stack.back()) << "var " << v;
+    stack.pop_back();
+  }
+  EXPECT_EQ(mgr_.allocated_nodes(), allocated);
+  // Recycled slots are chained into the unique table like fresh ones.
+  EXPECT_EQ(mgr_.MakeVar(kGarbage + 1), fresh.front().index());
+  EXPECT_EQ(mgr_.MakeVar(0), keep.index());
+}
+
 // Regression: Diff and RestrictAllFalse chain operations whose entry points
 // may garbage-collect; intermediates must be pinned. A tiny GC threshold
 // forces collections inside the chains.

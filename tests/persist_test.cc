@@ -16,8 +16,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -581,6 +584,8 @@ TEST(PersistTest, WriteSnapshotFileIsCrashAtomic) {
 
   persist::Writer payload;
   for (uint32_t i = 0; i < 64; ++i) payload.U32(i);
+  const std::vector<persist::ByteSpan> whole = {
+      {payload.bytes().data(), payload.bytes().size()}};
   const size_t total = persist::kSnapshotHeaderBytes + payload.bytes().size();
 
   // Tears at every interesting boundary: nothing written, mid-header,
@@ -588,14 +593,14 @@ TEST(PersistTest, WriteSnapshotFileIsCrashAtomic) {
   // exactly the torn prefix.
   for (size_t tear : {size_t{0}, size_t{1}, persist::kSnapshotHeaderBytes - 1,
                       persist::kSnapshotHeaderBytes + 1, total - 1}) {
-    Status st = persist::WriteSnapshotFile(path, payload, tear);
+    Status st = persist::WriteSnapshotFile(path, whole, tear);
     EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "tear " << tear;
     EXPECT_EQ(file_size(path), -1) << "tear " << tear << " touched the target";
     EXPECT_EQ(file_size(path + ".tmp"), static_cast<long>(tear));
   }
 
   // The complete write lands and consumes the tmp.
-  Status st = persist::WriteSnapshotFile(path, payload);
+  Status st = persist::WriteSnapshotFile(path, whole);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(file_size(path), static_cast<long>(total));
   EXPECT_EQ(file_size(path + ".tmp"), -1);
@@ -604,6 +609,51 @@ TEST(PersistTest, WriteSnapshotFileIsCrashAtomic) {
   ASSERT_TRUE(persist::ReadSnapshotPayload(path, &read_back).ok());
   EXPECT_EQ(read_back, payload.bytes());
   std::remove(path.c_str());
+
+  // The span form a checkpoint uses (body, node count, node table, view
+  // states): the header's size and checksum cover every span, so the file
+  // is byte-for-byte the one a single buffer of the concatenation gives,
+  // and a tear counts bytes across the header and the spans. Tears inside
+  // the header, the first span, the node-table span and the last span each
+  // leave the target untouched and exactly the torn prefix in the tmp.
+  const std::string flat_path = TempPath("flat.snap");
+  auto read_file = [](const std::string& p) -> std::vector<uint8_t> {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+  };
+  std::vector<std::vector<uint8_t>> parts = {
+      std::vector<uint8_t>(37), std::vector<uint8_t>(4),
+      std::vector<uint8_t>(120), std::vector<uint8_t>(9)};
+  persist::Writer flat;
+  std::vector<persist::ByteSpan> spans;
+  uint8_t next = 1;
+  for (std::vector<uint8_t>& part : parts) {
+    for (uint8_t& b : part) b = next++;
+    flat.Bytes(part.data(), part.size());
+    spans.push_back({part.data(), part.size()});
+  }
+  const size_t head = persist::kSnapshotHeaderBytes;
+  const size_t spans_total = head + flat.bytes().size();
+
+  for (size_t tear :
+       {head / 2, head + 10, head + 37 + 4 + 60, spans_total - 3}) {
+    Status st = persist::WriteSnapshotFile(path, spans, tear);
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << "tear " << tear;
+    EXPECT_EQ(file_size(path), -1) << "tear " << tear << " touched the target";
+    EXPECT_EQ(file_size(path + ".tmp"), static_cast<long>(tear));
+  }
+
+  ASSERT_TRUE(persist::WriteSnapshotFile(path, spans).ok());
+  EXPECT_EQ(file_size(path + ".tmp"), -1);
+  ASSERT_TRUE(persist::WriteSnapshotFile(
+                  flat_path, {{flat.bytes().data(), flat.bytes().size()}})
+                  .ok());
+  EXPECT_EQ(read_file(path), read_file(flat_path));
+  EXPECT_EQ(read_file(path).size(), spans_total);
+  ASSERT_TRUE(persist::ReadSnapshotPayload(path, &read_back).ok());
+  EXPECT_EQ(read_back, flat.bytes());
+  std::remove(path.c_str());
+  std::remove(flat_path.c_str());
 }
 
 TEST(PersistTest, CheckpointRequiresDrainedQueue) {
@@ -905,6 +955,157 @@ TEST(PersistCodecTest, ComplementEdgeBddsEncodeIdenticallyAcrossSlots) {
     EXPECT_EQ(b, fresh.Not(a)) << "root pair " << i;
   }
   ASSERT_TRUE(r.Check("resolve").ok());
+}
+
+// Checks a BddEncoder's table against the roots it encoded as `ids`: each
+// internal node reachable from the roots appears exactly once, children
+// before parents with regular then-edges, complement bits ride on the root
+// ids, and decoding into a fresh manager yields the same functions over
+// variables [0, num_vars).
+void ExpectFaithfulTable(const bdd::Manager& mgr,
+                         const persist::BddEncoder& enc,
+                         const std::vector<bdd::BddRef>& roots,
+                         const std::vector<uint32_t>& ids,
+                         bdd::Var num_vars) {
+  std::set<bdd::NodeIndex> reachable;
+  std::vector<bdd::BddRef> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    bdd::BddRef ref = stack.back() & ~1u;
+    stack.pop_back();
+    if (mgr.IsTerminal(ref) || !reachable.insert(ref >> 1).second) continue;
+    stack.push_back(mgr.low_of(ref));
+    stack.push_back(mgr.high_of(ref));
+  }
+  EXPECT_EQ(enc.num_nodes(), reachable.size());
+
+  persist::Writer w;
+  enc.WriteNodeTable(&w);
+  persist::Reader table(w.bytes());
+  const uint32_t count = table.U32();
+  ASSERT_EQ(count, enc.num_nodes());
+  std::set<std::vector<uint32_t>> entries;
+  for (uint32_t i = 0; i < count; ++i) {
+    std::vector<uint32_t> entry = {table.U32(), table.U32(), table.U32()};
+    // Node id i + 1 may only name ids 0 (the terminal) through i.
+    EXPECT_LE(entry[1] >> 1, i) << "entry " << i;
+    EXPECT_LE(entry[2] >> 1, i) << "entry " << i;
+    EXPECT_EQ(entry[2] & 1u, 0u) << "entry " << i;
+    entries.insert(std::move(entry));
+  }
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(entries.size(), size_t{count});
+
+  bdd::Manager fresh;
+  persist::Reader r(w.bytes());
+  persist::BddDecoder dec(&fresh);
+  ASSERT_TRUE(dec.ReadNodeTable(&r).ok());
+  std::vector<bdd::BddRef> decoded;
+  for (size_t k = 0; k < roots.size(); ++k) {
+    EXPECT_EQ(ids[k] & 1u, roots[k] & 1u) << "root " << k;
+    decoded.push_back(dec.Resolve(ids[k], &r));
+  }
+  ASSERT_TRUE(r.Check("resolve").ok());
+  std::unordered_map<bdd::Var, bool> truth;
+  for (uint32_t bits = 0; bits < (1u << num_vars); ++bits) {
+    for (bdd::Var v = 0; v < num_vars; ++v) truth[v] = (bits >> v) & 1u;
+    for (size_t k = 0; k < roots.size(); ++k) {
+      ASSERT_EQ(fresh.Evaluate(decoded[k], truth),
+                mgr.Evaluate(roots[k], truth))
+          << "root " << k << " assignment " << bits;
+    }
+  }
+}
+
+bdd::NodeIndex MaxNodeIndex(const bdd::Manager& mgr,
+                            const std::vector<bdd::BddRef>& roots) {
+  bdd::NodeIndex max = 0;
+  std::vector<bdd::BddRef> stack(roots.begin(), roots.end());
+  while (!stack.empty()) {
+    bdd::BddRef ref = stack.back();
+    stack.pop_back();
+    if (mgr.IsTerminal(ref)) continue;
+    max = std::max(max, ref >> 1);
+    stack.push_back(mgr.low_of(ref));
+    stack.push_back(mgr.high_of(ref));
+  }
+  return max;
+}
+
+// The encoder's node remap is a flat array indexed by node. Slots a GC
+// recycled lie far above the live count, and nodes interned after the
+// encoder was built lie past the array it started with; both must encode
+// to a faithful table.
+TEST(PersistCodecTest, RemapCoversRecycledAndLaterNodes) {
+  {
+    SCOPED_TRACE("recycled slots");
+    bdd::Manager mgr;
+    for (bdd::Var v = 0; v < 20000; ++v) mgr.MakeVar(100 + v);
+    mgr.GarbageCollect();
+    std::vector<bdd::BddRef> roots = ComplementRichRoots(mgr);
+    ASSERT_GT(MaxNodeIndex(mgr, roots), 10 * mgr.live_nodes());
+    persist::BddEncoder enc(&mgr);
+    std::vector<uint32_t> ids;
+    for (bdd::BddRef root : roots) ids.push_back(enc.Encode(root));
+    ExpectFaithfulTable(mgr, enc, roots, ids, 12);
+  }
+  {
+    SCOPED_TRACE("nodes interned after the encoder");
+    bdd::Manager mgr;
+    std::vector<bdd::BddRef> roots = ComplementRichRoots(mgr);
+    persist::BddEncoder enc(&mgr);
+    const size_t allocated = mgr.allocated_nodes();
+    std::vector<uint32_t> ids;
+    for (bdd::BddRef root : roots) ids.push_back(enc.Encode(root));
+    // Later roots share the first ones' nodes and add new ones above them.
+    std::vector<bdd::BddRef> later;
+    for (size_t k = 0; k < 6; ++k) {
+      bdd::BddRef extra = mgr.Or(mgr.MakeVar(12), mgr.MakeVar(13));
+      later.push_back(mgr.Diff(mgr.And(roots[4 * k], extra),
+                               mgr.MakeVar(static_cast<bdd::Var>(k))));
+    }
+    ASSERT_GE(MaxNodeIndex(mgr, later), allocated);
+    for (bdd::BddRef root : later) {
+      roots.push_back(root);
+      ids.push_back(enc.Encode(root));
+    }
+    ExpectFaithfulTable(mgr, enc, roots, ids, 14);
+  }
+}
+
+// The decoder holds one reference on every node it interns until it is
+// destroyed: a GC between reading the table and building the annotations
+// that reference it keeps every node (and every function), and destroying
+// the decoder makes them all collectable again.
+TEST(PersistCodecTest, DecoderPinsNodesUntilDestroyed) {
+  bdd::Manager mgr;
+  std::vector<bdd::BddRef> roots = ComplementRichRoots(mgr);
+  persist::BddEncoder enc(&mgr);
+  std::vector<uint32_t> ids;
+  for (bdd::BddRef root : roots) ids.push_back(enc.Encode(root));
+  persist::Writer w;
+  enc.WriteNodeTable(&w);
+
+  bdd::Manager fresh;
+  const size_t baseline = fresh.live_nodes();
+  {
+    persist::Reader r(w.bytes());
+    persist::BddDecoder dec(&fresh);
+    ASSERT_TRUE(dec.ReadNodeTable(&r).ok());
+    EXPECT_EQ(fresh.live_nodes(), baseline + enc.num_nodes());
+    EXPECT_EQ(fresh.GarbageCollect(), 0u);
+    std::unordered_map<bdd::Var, bool> truth;
+    for (uint32_t bits = 0; bits < (1u << 12); bits += 7) {
+      for (bdd::Var v = 0; v < 12; ++v) truth[v] = (bits >> v) & 1u;
+      for (size_t k = 0; k < roots.size(); ++k) {
+        ASSERT_EQ(fresh.Evaluate(dec.Resolve(ids[k], &r), truth),
+                  mgr.Evaluate(roots[k], truth))
+            << "root " << k << " assignment " << bits;
+      }
+    }
+    ASSERT_TRUE(r.Check("resolve").ok());
+  }
+  EXPECT_EQ(fresh.GarbageCollect(), enc.num_nodes());
+  EXPECT_EQ(fresh.live_nodes(), baseline);
 }
 
 // Decoder-level fuzz: random bit flips in the encoded node table (below the

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -708,6 +709,147 @@ TEST(SessionTest, ShardedRelativeScanCacheTracksLinkChurn) {
       ASSERT_EQ(ScanPairs(*scan), ReferenceClosure(kChurnNodes, live));
     }
   }
+}
+
+// TTL expiry is an ordinary delete: it only enqueues, and the next Apply
+// drains it with the delta log armed, so a view whose Scan cache is live
+// when a deadline fires patches that cache instead of rebuilding it. Each
+// tick inserts a few soft facts (some renewals) in one Apply, reads the
+// view to keep its cache live, advances the clock by one and Applies the
+// expirations alone; after both Applies the cached Scan must equal the
+// reference over the facts still live.
+class SoftStateScanCacheTest : public ::testing::TestWithParam<ProvMode> {};
+
+INSTANTIATE_TEST_SUITE_P(AllProvModes, SoftStateScanCacheTest,
+                         ::testing::Values(ProvMode::kAbsorption,
+                                           ProvMode::kRelative,
+                                           ProvMode::kSet),
+                         [](const ::testing::TestParamInfo<ProvMode>& info) {
+                           return ProvModeName(info.param);
+                         });
+
+TEST_P(SoftStateScanCacheTest, ExpiredLinksPatchCachedReachable) {
+  constexpr int kTtlNodes = 10;
+  Session session(Deployment(kTtlNodes, 4));
+  EngineOptions options;
+  options.runtime.prov = GetParam();
+  options.runtime.num_physical = 4;
+  auto reach = session.AddProgram(R"(
+    reachable(x,y) :- link(x,y).
+    reachable(x,y) :- link(x,z), reachable(z,y).
+  )", options);
+  ASSERT_TRUE(reach.ok()) << reach.status().ToString();
+  // A permanent path 0 -> 1 -> ... -> 4; every other link is soft.
+  std::set<std::pair<int, int>> permanent;
+  for (int i = 0; i + 1 < kTtlNodes / 2; ++i) {
+    permanent.emplace(i, i + 1);
+    ASSERT_TRUE(session.Insert("link", Tuple::OfInts({i, i + 1})).ok());
+  }
+  std::map<std::pair<int, int>, double> deadline_of;
+  auto live_links = [&] {
+    std::vector<LinkTuple> live;
+    for (const auto& [x, y] : permanent) live.push_back(LinkTuple{x, y});
+    for (const auto& [link, deadline] : deadline_of) {
+      live.push_back(LinkTuple{link.first, link.second});
+    }
+    return live;
+  };
+  auto expect_reference = [&](const char* phase) {
+    auto scan = (*reach)->Scan("reachable");
+    ASSERT_TRUE(scan.ok()) << phase;
+    EXPECT_EQ(ScanPairs(*scan), ReferenceClosure(kTtlNodes, live_links()))
+        << phase;
+  };
+
+  Rng rng(17);
+  size_t expired = 0;
+  for (int tick = 1; tick <= 16; ++tick) {
+    SCOPED_TRACE(tick);
+    const double now = tick - 1;
+    for (int e = 0; e < 3; ++e) {
+      int x = static_cast<int>(rng.NextBounded(kTtlNodes));
+      int y = static_cast<int>(rng.NextBounded(kTtlNodes));
+      if (x == y || permanent.count({x, y}) > 0) continue;
+      const double ttl = 1.0 + static_cast<double>(rng.NextBounded(4));
+      ASSERT_TRUE(
+          session.InsertWithTtl("link", Tuple::OfInts({x, y}), ttl).ok());
+      deadline_of[{x, y}] = now + ttl;
+    }
+    ASSERT_TRUE(session.Apply().ok());
+    expect_reference("after inserts");
+
+    ASSERT_TRUE(session.AdvanceTime(tick).ok());
+    for (auto it = deadline_of.begin(); it != deadline_of.end();) {
+      if (it->second <= tick) {
+        it = deadline_of.erase(it);
+        ++expired;
+      } else {
+        ++it;
+      }
+    }
+    ASSERT_TRUE(session.Apply().ok());
+    expect_reference("after expiry");
+  }
+  EXPECT_GT(expired, 10u);
+}
+
+TEST_P(SoftStateScanCacheTest, ExpiredTriggersPatchCachedRegions) {
+  const SensorField field = TestField();
+  Session session(SharedOptions());
+  auto region = session.AddProgram(kRegion, RegionOptions(field, GetParam()));
+  ASSERT_TRUE(region.ok()) << region.status().ToString();
+  std::map<int, double> deadline_of;
+  auto expect_reference = [&](const char* phase) {
+    std::vector<bool> triggered(static_cast<size_t>(field.num_sensors));
+    for (const auto& [sensor, deadline] : deadline_of) {
+      triggered[static_cast<size_t>(sensor)] = true;
+    }
+    std::vector<std::set<int>> expected = ReferenceRegions(field, triggered);
+    auto scan = (*region)->Scan("activeRegion");
+    ASSERT_TRUE(scan.ok()) << phase;
+    std::vector<std::set<int>> have(expected.size());
+    for (const Tuple& row : *scan) {
+      have.at(static_cast<size_t>(row.IntAt(0)))
+          .insert(static_cast<int>(row.IntAt(1)));
+    }
+    EXPECT_EQ(have, expected) << phase;
+  };
+
+  // Every seed triggers at tick 0, so both regions start non-empty.
+  for (int seed : field.seed_sensors) {
+    ASSERT_TRUE(
+        session.InsertWithTtl("triggered", Tuple::OfInts({seed}), 3.0).ok());
+    deadline_of[seed] = 3.0;
+  }
+  Rng rng(29);
+  size_t expired = 0;
+  for (int tick = 1; tick <= 16; ++tick) {
+    SCOPED_TRACE(tick);
+    const double now = tick - 1;
+    for (int e = 0; e < 3; ++e) {
+      int sensor = static_cast<int>(rng.NextBounded(field.num_sensors));
+      const double ttl = 1.0 + static_cast<double>(rng.NextBounded(4));
+      ASSERT_TRUE(session
+                      .InsertWithTtl("triggered", Tuple::OfInts({sensor}), ttl)
+                      .ok());
+      deadline_of[sensor] = now + ttl;
+    }
+    ASSERT_TRUE(session.Apply().ok());
+    expect_reference("after triggers");
+
+    ASSERT_TRUE(session.AdvanceTime(tick).ok());
+    for (auto it = deadline_of.begin(); it != deadline_of.end();) {
+      if (it->second <= tick) {
+        it = deadline_of.erase(it);
+        ++expired;
+      } else {
+        ++it;
+      }
+    }
+    ASSERT_TRUE(session.Apply().ok());
+    expect_reference("after expiry");
+  }
+  EXPECT_GT(expired, 10u);
 }
 
 // Eager MinShip with a tiny eager_demote_width: merged annotations cross
